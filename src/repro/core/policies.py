@@ -104,13 +104,15 @@ class VanillaPolicy(RestorePolicy):
         written = memory_file._written_blocks
         install = vm.memory.install
         timeout = env.timeout
+        advance = env.try_advance
 
         def handler(page: int) -> Generator[Event, Any, None]:
             breakdown.demand_faults += 1
             # Minor-fault fast path: no fault_in generator for hits.
             cost = hit_cost(memory_file, page)
             if cost is not None:
-                yield timeout(cost)
+                if not advance(cost):
+                    yield timeout(cost)
                 if page not in written:
                     breakdown.zero_faults += 1
                 install(page)
@@ -118,7 +120,7 @@ class VanillaPolicy(RestorePolicy):
             was_major = yield from fault_in(memory_file, page)
             if was_major:
                 breakdown.major_faults += 1
-                if fault_cpu_us > 0.0:
+                if fault_cpu_us > 0.0 and not advance(fault_cpu_us):
                     yield timeout(fault_cpu_us)
             elif page not in written:
                 breakdown.zero_faults += 1

@@ -512,9 +512,10 @@ class Orchestrator:
                   ) -> Generator[Event, Any, None]:
         params = self.host.params
         phase_start = self.env.now
-        grant = self.host.containerd_lock.request()
+        grant = self.host.containerd_lock.claim()
         try:
-            yield grant
+            if not grant.processed:
+                yield grant
             yield self.env.timeout(params.containerd_serial_ms * MS)
         finally:
             self.host.containerd_lock.release(grant)

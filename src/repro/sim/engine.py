@@ -33,13 +33,21 @@ overhead minimal:
   common wait path allocates no bound-method object;
 * :meth:`Environment.run` inlines the pop/dispatch loop, and
   :meth:`Environment.timeout` builds the :class:`Timeout` in a single
-  frame (no ``type.__call__``/``__init__`` double dispatch).
+  frame (no ``type.__call__``/``__init__`` double dispatch);
+* a wait that is provably the engine's next item -- nothing immediate
+  is pending, the heap top is due strictly later, the ``run`` bound is
+  not passed, and no multi-waiter dispatch is in progress -- is served
+  in place by :meth:`Environment.try_advance` (hot timeouts) and
+  :meth:`repro.sim.resources.Resource.claim` (uncontended grants): the
+  clock moves and the event is counted, with no allocation, heap
+  round-trip or generator resume.
 
 Setting ``fastpath=False`` on :class:`Environment` (or exporting
 ``REPRO_ENGINE_SLOWPATH=1``) routes every occurrence through the
 reference time heap; ``tests/test_perf_equivalence.py`` pins that both
 paths produce byte-identical experiment results and process the same
-number of events.
+number of events.  The slowpath, the tie-break sanitizer and the
+profiled loop never take the in-place path.
 
 See also :mod:`repro.sim.rng` (the other half of the determinism
 story: named seed derivation) and the "How determinism works" note in
@@ -60,6 +68,9 @@ from repro.sim import sanitizer
 #: Process-wide count of events processed by every Environment, for the
 #: ``bench perf`` suite (simulated-events/sec).  Monotonic; never reset.
 _events_processed_total = 0
+
+#: ``Environment._inline_until`` value that disables in-place advances.
+_NEVER = float("-inf")
 
 
 def events_processed_total() -> int:
@@ -388,7 +399,8 @@ class Environment:
     """
 
     __slots__ = ("_now", "_heap", "_sequence", "_seq_mix", "_immediate",
-                 "_fastpath", "_active_process", "events_processed")
+                 "_fastpath", "_inline_until", "_active_process",
+                 "events_processed")
 
     def __init__(self, initial_time: float = 0.0,
                  fastpath: Optional[bool] = None) -> None:
@@ -410,6 +422,11 @@ class Environment:
         else:
             self._seq_mix = sanitizer.sequence_mixer(tiebreak)
             self._fastpath = False
+        #: Latest time :meth:`try_advance` may move the clock to: the
+        #: bound of the fast ``run`` loop in progress, ``-inf`` outside
+        #: it and while a multi-waiter event or the ``run(until=event)``
+        #: target is being dispatched.
+        self._inline_until = _NEVER
         #: The process currently being resumed (None outside a resume);
         #: lets structural errors name their offending process.
         self._active_process: Optional[Process] = None
@@ -457,6 +474,31 @@ class Environment:
             heappush(self._heap, (self._now + delay, self._next_seq(), event))
         return event
 
+    def try_advance(self, delay: float) -> bool:
+        """Serve a ``delay`` wait in place if it is provably next.
+
+        Returns ``True`` after moving the clock by ``delay`` and
+        counting one processed event -- exactly what the fast loop would
+        do for ``yield self.timeout(delay)`` whose timeout nothing can
+        precede: no immediate item is pending, the heap top is due
+        strictly later (an entry due at the same instant was queued
+        earlier and fires first), and the new time is within the bound
+        of the ``run`` in progress.  Returns ``False`` otherwise, and
+        always off the fast loop; the caller then yields
+        ``self.timeout(delay)`` as usual.
+        """
+        global _events_processed_total
+        when = self._now + delay
+        if when > self._inline_until or self._immediate or delay < 0:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= when:
+            return False
+        self._now = when
+        self.events_processed += 1
+        _events_processed_total += 1
+        return True
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Launch a process from a generator."""
         return Process(self, generator, name=name)
@@ -482,45 +524,6 @@ class Environment:
         else:
             heappush(self._heap,
                      (self._now, self._next_seq(), (callback, event)))
-
-    def _step(self) -> None:
-        """Process exactly one queued item (reference implementation)."""
-        global _events_processed_total
-        heap = self._heap
-        immediate = self._immediate
-        if heap and (not immediate or heap[0][0] <= self._now):
-            when, _seq, item = heappop(heap)
-            self._now = when
-        else:
-            item = immediate.popleft()
-        self.events_processed += 1
-        _events_processed_total += 1
-        if type(item) is tuple:
-            callback, event = item
-            if type(callback) is Process:
-                callback._resume(event)
-            else:
-                callback(event)
-            return
-        item._processed = True
-        callback = item._cb
-        if callback is not None:
-            item._cb = None
-            if type(callback) is Process:
-                callback._resume(item)
-            else:
-                callback(item)
-            more = item._cbs
-            if more:
-                item._cbs = None
-                for callback in more:
-                    if type(callback) is Process:
-                        callback._resume(item)
-                    else:
-                        callback(item)
-        elif item._exception is not None and not item._defused:
-            # A failure nobody waited for: surface it rather than lose it.
-            raise item._exception
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
@@ -548,6 +551,8 @@ class Environment:
         try:
             if isinstance(until, Event):
                 target = until
+                inline = float("inf") if self._fastpath else _NEVER
+                self._inline_until = inline
                 while not target._processed:
                     if heap and (not immediate or heap[0][0] <= self._now):
                         when, _seq, item = heappop(heap)
@@ -570,18 +575,26 @@ class Environment:
                     callback = item._cb
                     if callback is not None:
                         item._cb = None
+                        # Every waiter of a multi-waiter event resumes at
+                        # this instant, and the loop stops right after
+                        # its target: neither may advance the clock in
+                        # place (the flag stays off once the target is
+                        # processed, since the loop then ends).
+                        more = item._cbs
+                        if more is not None or item is target:
+                            self._inline_until = _NEVER
                         if type(callback) is Process:
                             callback._resume(item)
                         else:
                             callback(item)
-                        more = item._cbs
-                        if more:
+                        if more is not None:
                             item._cbs = None
                             for callback in more:
                                 if type(callback) is Process:
                                     callback._resume(item)
                                 else:
                                     callback(item)
+                            self._inline_until = inline
                     elif item._exception is not None and not item._defused:
                         raise item._exception
                 if target._exception is not None:
@@ -589,6 +602,8 @@ class Environment:
                 return target._value
 
             deadline = float("inf") if until is None else float(until)
+            inline = deadline if self._fastpath else _NEVER
+            self._inline_until = inline
             while True:
                 if heap and (not immediate or heap[0][0] <= self._now):
                     when = heap[0][0]
@@ -614,24 +629,30 @@ class Environment:
                 callback = item._cb
                 if callback is not None:
                     item._cb = None
+                    # Every waiter of a multi-waiter event resumes at
+                    # this instant: none may advance the clock in place.
+                    more = item._cbs
+                    if more is not None:
+                        self._inline_until = _NEVER
                     if type(callback) is Process:
                         callback._resume(item)
                     else:
                         callback(item)
-                    more = item._cbs
-                    if more:
+                    if more is not None:
                         item._cbs = None
                         for callback in more:
                             if type(callback) is Process:
                                 callback._resume(item)
                             else:
                                 callback(item)
+                        self._inline_until = inline
                 elif item._exception is not None and not item._defused:
                     raise item._exception
             if until is not None:
                 self._now = max(self._now, deadline)
             return None
         finally:
+            self._inline_until = _NEVER
             if gc_was_enabled:
                 gc.enable()
             self.events_processed += count

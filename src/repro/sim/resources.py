@@ -105,6 +105,34 @@ class Resource:
             self._grant()
         return request
 
+    def claim(self) -> Request:
+        """:meth:`request`, taking an uncontended grant in place.
+
+        When a slot is free and the grant would be the engine's next item
+        (see :meth:`Environment.try_advance`), the returned request is
+        already granted *and processed*: the caller must not yield it, as
+        that would queue one more event.  Otherwise this is
+        :meth:`request`.  Usage::
+
+            grant = resource.claim()
+            try:
+                if not grant.processed:
+                    yield grant
+                ...
+            finally:
+                resource.release(grant)
+        """
+        users = self._users
+        if (self._queue or len(users) >= self.capacity
+                or not self.env.try_advance(0.0)):
+            return self.request()
+        request = Request(self)
+        request._triggered = True
+        request._processed = True
+        request._value = request
+        users.add(request)
+        return request
+
     def release(self, request: Request) -> None:
         """Release a previously granted slot."""
         if request in self._users:
@@ -128,13 +156,16 @@ class Resource:
 
         Usage: ``yield from resource.acquire(service_time)``.
         """
-        request = self.request()
+        request = self.claim()
         try:
             # The wait itself is inside the try: an Interrupt while
             # queued must cancel the request, or the slot leaks when it
             # is eventually granted to a dead process (REPRO-R001).
-            yield request
-            yield self.env.timeout(hold_time)
+            if not request.processed:
+                yield request
+            env = self.env
+            if not env.try_advance(hold_time):
+                yield env.timeout(hold_time)
         finally:
             self.release(request)
 

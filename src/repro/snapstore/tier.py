@@ -312,6 +312,10 @@ class TierCache:
                             args={"artifact": entry.kind,
                                   "bytes": entry.size})
                     continue
+                # Set before the fetch starts -- under a deadline it runs
+                # as a child process that starts later -- so a restore
+                # of this artifact at the same instant coalesces on it.
+                entry.promote_done = self.env.event()
                 try:
                     if self.params.promote_timeout_us is None:
                         yield from self._promote(entry, lane)
@@ -345,16 +349,16 @@ class TierCache:
                  lane: str | None) -> Generator[Event, Any, None]:
         """Fetch one artifact from the remote service and flip it local.
 
-        Cleans up after itself on *any* failure -- Interrupt (abandoned
-        at the promote deadline, or the promoting restore crashed),
-        outage error, model error -- by undoing the ``_admit``
-        reservation and waking coalesced waiters, whose reads then flow
-        through the remote device per access.  Without that the budget
-        bytes and the waiters leak forever.
+        Resolves and clears ``entry.promote_done``, which the caller
+        sets before the fetch starts.  Cleans up after itself on *any*
+        failure -- Interrupt (abandoned at the promote deadline, or the
+        promoting restore crashed), outage error, model error -- by
+        undoing the ``_admit`` reservation and waking coalesced waiters,
+        whose reads then flow through the remote device per access.
+        Without that the budget bytes and the waiters leak forever.
         """
         tracer = obs_tracer.ACTIVE
         span = None
-        entry.promote_done = self.env.event()
         if tracer is not None:
             span = tracer.begin(
                 "promote", self.env.now, lane=lane,

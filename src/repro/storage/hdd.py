@@ -64,9 +64,10 @@ class HddDevice:
 
     def _serve(self, request: IoRequest,
                bytes_per_us: float) -> Generator[Event, Any, None]:
-        grant = self._actuator.request()
+        grant = self._actuator.claim()
         try:
-            yield grant
+            if not grant.processed:
+                yield grant
             service = request.nbytes / bytes_per_us
             if not self._is_sequential(request.lba):
                 service += (self.params.average_seek_us

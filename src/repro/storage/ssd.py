@@ -83,22 +83,27 @@ class SsdDevice:
             # Inlined controller + channel acquire: one random read runs
             # per demand-fault window, so the two Resource.acquire
             # delegation frames are measurable.  The event sequence is
-            # identical to ``yield from resource.acquire(hold)`` twice.
+            # identical to ``yield from resource.acquire(hold)`` twice,
+            # grants and holds served in place when provably next.
             env = self.env
             controller = self._controller
-            grant = controller.request()
+            grant = controller.claim()
             try:
-                yield grant
-                yield env.timeout(params.controller_us)
+                if not grant.processed:
+                    yield grant
+                if not env.try_advance(params.controller_us):
+                    yield env.timeout(params.controller_us)
             finally:
                 controller.release(grant)
             service = (params.flash_read_us
                        + request.nbytes / self._link_bytes_per_us)
             channels = self._channels
-            grant = channels.request()
+            grant = channels.claim()
             try:
-                yield grant
-                yield env.timeout(service)
+                if not grant.processed:
+                    yield grant
+                if not env.try_advance(service):
+                    yield env.timeout(service)
             finally:
                 channels.release(grant)
         else:
@@ -111,19 +116,23 @@ class SsdDevice:
         if request.nbytes <= params.random_threshold_bytes:
             env = self.env
             controller = self._controller
-            grant = controller.request()
+            grant = controller.claim()
             try:
-                yield grant
-                yield env.timeout(params.controller_us)
+                if not grant.processed:
+                    yield grant
+                if not env.try_advance(params.controller_us):
+                    yield env.timeout(params.controller_us)
             finally:
                 controller.release(grant)
             service = (params.flash_write_us
                        + request.nbytes / self._link_bytes_per_us)
             channels = self._channels
-            grant = channels.request()
+            grant = channels.claim()
             try:
-                yield grant
-                yield env.timeout(service)
+                if not grant.processed:
+                    yield grant
+                if not env.try_advance(service):
+                    yield env.timeout(service)
             finally:
                 channels.release(grant)
         else:

@@ -52,10 +52,13 @@ class ThinPoolDevice:
 
     def read(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a read through the pool's limited queue."""
-        grant = self._slots.request()
+        grant = self._slots.claim()
         try:
-            yield grant
-            yield self.env.timeout(self.params.mapping_overhead_us)
+            if not grant.processed:
+                yield grant
+            env = self.env
+            if not env.try_advance(self.params.mapping_overhead_us):
+                yield env.timeout(self.params.mapping_overhead_us)
             yield from self.backing.read(request)
         finally:
             self._slots.release(grant)
@@ -63,10 +66,13 @@ class ThinPoolDevice:
 
     def write(self, request: IoRequest) -> Generator[Event, Any, None]:
         """Serve a write through the pool's limited queue."""
-        grant = self._slots.request()
+        grant = self._slots.claim()
         try:
-            yield grant
-            yield self.env.timeout(self.params.mapping_overhead_us)
+            if not grant.processed:
+                yield grant
+            env = self.env
+            if not env.try_advance(self.params.mapping_overhead_us):
+                yield env.timeout(self.params.mapping_overhead_us)
             yield from self.backing.write(request)
         finally:
             self._slots.release(grant)

@@ -44,9 +44,10 @@ def boot_microvm(host: WorkerHost, profile: FunctionProfile,
     vm.transition(VmState.BOOTING)
 
     # Containerd: serialized bookkeeping, then rootfs (device-mapper) mount.
-    grant = host.containerd_lock.request()
+    grant = host.containerd_lock.claim()
     try:
-        yield grant
+        if not grant.processed:
+            yield grant
         yield host.env.timeout(params.containerd_serial_ms * MS)
     finally:
         host.containerd_lock.release(grant)

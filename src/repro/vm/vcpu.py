@@ -66,6 +66,7 @@ class VCpu:
         # reference loop.
         present = memory._present
         timeout = self.env.timeout
+        advance = self.env.try_advance
         for page in pages:
             accumulated += per_access
             if page in present:
@@ -74,11 +75,12 @@ class VCpu:
                 raise RuntimeError(
                     f"page {page} missing during warm execution")
             if accumulated > 0.0:
-                yield timeout(accumulated)
+                if not advance(accumulated):
+                    yield timeout(accumulated)
                 accumulated = 0.0
             self.faults_taken += 1
             yield from fault_handler(page)
-        if accumulated > 0.0:
+        if accumulated > 0.0 and not advance(accumulated):
             yield timeout(accumulated)
 
     def _execute_phase_traced(self, memory, pages: Sequence[int],
@@ -101,6 +103,7 @@ class VCpu:
         accumulated = 0.0
         present = memory._present
         timeout = env.timeout
+        advance = env.try_advance
         window = None
         window_faults = 0
         for page in pages:
@@ -112,7 +115,8 @@ class VCpu:
                     window = None
                 continue
             if accumulated > 0.0:
-                yield timeout(accumulated)
+                if not advance(accumulated):
+                    yield timeout(accumulated)
                 accumulated = 0.0
             if window is None:
                 window = tracer.begin("fault_window", env.now,
@@ -124,5 +128,5 @@ class VCpu:
             yield from fault_handler(page)
         if window is not None:
             tracer.end(window, env.now, args={"faults": window_faults})
-        if accumulated > 0.0:
+        if accumulated > 0.0 and not advance(accumulated):
             yield timeout(accumulated)

@@ -16,6 +16,7 @@ from repro.chaos import (
     synthesize_plan,
 )
 from repro.functions import FunctionProfile
+from repro.functions.catalog import get_profile
 from repro.orchestrator import Cluster
 from repro.orchestrator.cluster import (
     InvocationShed,
@@ -371,6 +372,34 @@ def test_promote_deadline_bypasses_to_serve_remote():
     # Nothing stays pinned or half-promoted after the bypass.
     assert all(entry.pins == 0 and entry.promote_done is None
                for entry in cache.entries_for("toy"))
+
+
+def test_same_instant_restores_coalesce_under_promote_deadline():
+    # Regression: under a promote deadline the fetch runs as a child
+    # process, and promote_done used to be set only when that child first
+    # ran -- so a second restore at the same instant promoted the same
+    # artifact again and crashed resolving a cleared promote_done.
+    env = Environment()
+    with Cluster(env, n_workers=1, seed=11,
+                 snapstore_params=TierParameters(
+                     local_capacity_bytes=1024 * MIB,
+                     promote_timeout_us=10.0 * SEC)) as cluster:
+        env.run(until=env.process(cluster.deploy(get_profile("helloworld"))))
+        cache = cluster.workers[0].orchestrator.snapstore.cache
+        cache.lose_local()
+        restores = [env.process(cluster.invoke("helloworld", mode="vanilla"))
+                    for _ in range(2)]
+        env.run(until=env.all_of(restores))
+    assert all(restore.ok for restore in restores)
+    stats = cache.stats
+    # Two artifacts (vmm + mem), each fetched exactly once: each restore
+    # promotes one and coalesces on the other's in-flight transfer.
+    assert stats.remote_misses == stats.promotions == 2
+    assert stats.coalesced == 2
+    assert stats.promote_timeouts == 0
+    assert all(entry.local and entry.pins == 0
+               and entry.promote_done is None
+               for entry in cache.entries_for("helloworld"))
 
 
 def test_unreachable_artifacts_degrade_reap_to_vanilla():

@@ -451,33 +451,47 @@ def test_environment_honors_slowpath_env_var(monkeypatch):
     assert Environment(fastpath=False)._fastpath is False
 
 
-def _run_fig7_cell():
-    from repro.bench.experiments import Fig7DesignPoints
+def _run_cell(experiment_id, label, cell_kwargs, assemble_kwargs):
+    from repro.bench.experiments import EXPERIMENTS
 
-    experiment = Fig7DesignPoints()
-    (cell,) = experiment.cells(seed=42, functions=("helloworld",))
+    experiment = EXPERIMENTS[experiment_id]
+    (cell,) = [cell for cell in experiment.cells(seed=42, **cell_kwargs)
+               if cell.label == label]
     before = sim_engine.events_processed_total()
     payload = experiment.run_cell(cell)
     events = sim_engine.events_processed_total() - before
-    result = experiment.assemble([canonicalize(payload)],
-                                 functions=("helloworld",))
+    rows = (experiment.assemble([canonicalize(payload)],
+                                **assemble_kwargs).rows
+            if assemble_kwargs is not None else None)
     return (json.dumps(canonicalize(payload), sort_keys=True),
-            json.dumps(canonicalize(result.rows), sort_keys=True),
+            json.dumps(canonicalize(rows), sort_keys=True),
             events)
+
+
+#: Cells run on both engine paths: the three-scheme design point (almost
+#: no concurrency) and a one-worker vanilla trace replay, where demand
+#: faults run alone and the in-place clock advance fires most.
+_EQUIVALENCE_CELLS = (
+    ("fig7", "helloworld", {"functions": ("helloworld",)},
+     {"functions": ("helloworld",)}),
+    ("trace_scale", "workers=1/vanilla",
+     {"duration_s": 300.0, "cluster_sizes": (1,)}, None),
+)
 
 
 def test_fastpath_slowpath_experiment_byte_identical(monkeypatch):
     """The three-scheme design-point experiment (vanilla / WS file /
-    REAP) must produce byte-identical payloads, assembled rows, and
-    event counts on both engine paths."""
-    monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
-    fast_payload, fast_rows, fast_events = _run_fig7_cell()
-    monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
-    slow_payload, slow_rows, slow_events = _run_fig7_cell()
-    assert fast_payload == slow_payload
-    assert fast_rows == slow_rows
-    assert fast_events == slow_events
-    assert fast_events > 0
+    REAP) and a vanilla trace replay must produce byte-identical
+    payloads, assembled rows, and event counts on both engine paths."""
+    for cell in _EQUIVALENCE_CELLS:
+        monkeypatch.delenv("REPRO_ENGINE_SLOWPATH", raising=False)
+        fast_payload, fast_rows, fast_events = _run_cell(*cell)
+        monkeypatch.setenv("REPRO_ENGINE_SLOWPATH", "1")
+        slow_payload, slow_rows, slow_events = _run_cell(*cell)
+        assert fast_payload == slow_payload, cell[:2]
+        assert fast_rows == slow_rows, cell[:2]
+        assert fast_events == slow_events, cell[:2]
+        assert fast_events > 0
 
 
 def test_fig7_cell_digest_matches_golden():

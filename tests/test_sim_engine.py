@@ -1,12 +1,15 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
     Interrupt,
+    Resource,
     SimulationError,
 )
 
@@ -535,3 +538,260 @@ def test_events_processed_counters_advance():
         "repro.sim.engine", fromlist=["x"]).events_processed_total()
     assert env.events_processed > 0
     assert after_total - before_total == env.events_processed
+
+
+# -- in-place clock advance (Environment.try_advance, Resource.claim) -------
+
+
+def sleep(env, delay):
+    """A hot-site wait: in place when provably next, else a timeout."""
+    if not env.try_advance(delay):
+        yield env.timeout(delay)
+
+
+def test_inline_advance_fires_when_provably_next():
+    env = Environment()
+    advanced = []
+
+    def body():
+        yield env.timeout(1)
+        advanced.append(env.try_advance(4))
+        advanced.append(env.now)
+
+    env.process(body())
+    env.run()
+    assert advanced == [True, 5]
+    # Counted like the timeout it replaces: bootstrap, timeout, the
+    # in-place advance, process exit.
+    assert env.events_processed == 4
+    assert env.try_advance(1) is False  # outside run()
+
+
+def test_inline_advance_lets_earlier_queued_same_time_entry_fire_first():
+    env = Environment()
+    log = []
+
+    def early():
+        yield env.timeout(10)
+        log.append(("early", env.now))
+
+    def sleeper():
+        yield env.timeout(5)
+        yield from sleep(env, 5)  # due at 10, like early's queued timeout
+        log.append(("sleeper", env.now))
+
+    env.process(early())
+    env.process(sleeper())
+    env.run()
+    assert log == [("early", 10), ("sleeper", 10)]
+
+
+def test_pending_immediate_item_blocks_inline_advance():
+    env = Environment()
+    signal = env.event()
+    seen = []
+
+    def waiter():
+        yield signal
+        seen.append(env.now)
+
+    def trigger():
+        signal.succeed()
+        yield from sleep(env, 5)
+
+    env.process(waiter())
+    env.process(trigger())
+    env.run()
+    assert seen == [0.0]
+    assert env.now == 5
+
+
+def test_second_waiter_of_multi_waiter_event_resumes_at_original_time():
+    env = Environment()
+    signal = env.event()
+    log = []
+
+    def first():
+        yield signal
+        yield from sleep(env, 5)
+        log.append(("first", env.now))
+
+    def second():
+        yield signal
+        log.append(("second", env.now))
+
+    def trigger():
+        yield env.timeout(1)
+        signal.succeed()
+        yield env.timeout(100)  # stays alive: no exit event is pending
+
+    env.process(first())
+    env.process(second())
+    env.process(trigger())
+    env.run()
+    assert log == [("second", 1), ("first", 6)]
+
+
+def test_run_until_time_never_advances_in_place_past_the_bound():
+    env = Environment()
+    log = []
+
+    def body():
+        yield env.timeout(5)
+        yield from sleep(env, 10)
+        log.append(env.now)
+
+    env.process(body())
+    env.run(until=8)
+    assert env.now == 8
+    assert log == []
+    env.run()
+    assert log == [15]
+
+
+def test_run_until_event_stops_right_after_its_target():
+    env = Environment()
+    target = env.event()
+    log = []
+
+    def waiter():
+        yield target
+        yield from sleep(env, 10)
+        log.append(env.now)
+
+    def trigger():
+        yield env.timeout(1)
+        target.succeed()
+        yield env.timeout(100)  # stays alive: no exit event is pending
+
+    env.process(waiter())
+    env.process(trigger())
+    env.run(until=target)
+    assert env.now == 1
+    assert log == []
+    env.run()
+    assert log == [11]
+
+
+def test_profiled_run_counts_every_event_through_the_profiler():
+    from repro.obs import profiler as obs_profiler
+
+    def ticker(env, log):
+        for _ in range(5):
+            yield from sleep(env, 10.0)
+            log.append(env.now)
+
+    plain = Environment()
+    plain_log = []
+    plain.process(ticker(plain, plain_log))
+    plain.run()
+
+    profiler = obs_profiler.install()
+    try:
+        env = Environment()
+        log = []
+        env.process(ticker(env, log))
+        env.run()
+    finally:
+        obs_profiler.uninstall()
+    assert log == plain_log
+    assert env.events_processed == plain.events_processed
+    assert profiler.total_events == env.events_processed
+
+
+def test_slowpath_never_advances_in_place():
+    env = Environment(fastpath=False)
+    advanced = []
+
+    def body():
+        advanced.append(env.try_advance(3))
+        yield env.timeout(3)
+
+    env.process(body())
+    env.run()
+    assert advanced == [False]
+    assert env.now == 3
+
+
+# A random process program: each op is (kind, a, b).  ``sleep`` and
+# ``timeout`` wait ``a``; ``hold``/``acquire`` take resource ``a``
+# (capacity 1 or 2) for ``b``; ``signal``/``wait`` trigger or wait on
+# shared event ``a``, then sleep ``b``; ``interrupt`` interrupts process
+# ``a``.
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["sleep", "timeout", "interrupt"]),
+              st.integers(0, 3), st.just(0)),
+    st.tuples(st.sampled_from(["hold", "acquire"]),
+              st.integers(0, 1), st.integers(0, 3)),
+    st.tuples(st.sampled_from(["signal", "wait"]),
+              st.integers(0, 1), st.integers(0, 3)),
+)
+
+
+def _run_program(programs, pauses, fastpath):
+    env = Environment(fastpath=fastpath)
+    resources = [Resource(env, capacity=1), Resource(env, capacity=2)]
+    signals = [env.event() for _ in range(2)]
+    procs = []
+    log = []
+
+    def body(pid, ops):
+        for step, (kind, a, b) in enumerate(ops):
+            try:
+                if kind == "sleep":
+                    yield from sleep(env, a)
+                elif kind == "timeout":
+                    yield env.timeout(a)
+                elif kind == "hold":
+                    grant = resources[a].claim()
+                    try:
+                        if not grant.processed:
+                            yield grant
+                        yield from sleep(env, b)
+                    finally:
+                        resources[a].release(grant)
+                elif kind == "acquire":
+                    yield from resources[a].acquire(b)
+                elif kind == "signal":
+                    if not signals[a].triggered:
+                        signals[a].succeed()
+                    yield from sleep(env, b)
+                elif kind == "wait":
+                    yield signals[a]
+                    yield from sleep(env, b)
+                elif a < len(procs):
+                    procs[a].interrupt(pid)
+                log.append((env.now, pid, step))
+            except Interrupt:
+                log.append((env.now, pid, step, "interrupted"))
+
+    for pid, ops in enumerate(programs):
+        procs.append(env.process(body(pid, ops)))
+    for kind, value in pauses:
+        if kind == "time":
+            env.run(until=max(value, env.now))
+        elif not signals[value].processed:
+            try:
+                env.run(until=signals[value])
+            except SimulationError:
+                log.append((env.now, "exhausted"))
+        log.append((env.now, "paused"))
+    env.run()
+    return log, env.now, env.events_processed
+
+
+# ``run`` pauses: at a time, or once a shared event is processed.
+_PAUSES = st.lists(st.tuples(st.sampled_from(["time", "signal"]),
+                             st.integers(0, 1)).map(
+    lambda pause: (pause[0], pause[1] * 5 if pause[0] == "time"
+                   else pause[1])), max_size=3)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.lists(_OPS, min_size=1, max_size=10),
+                min_size=2, max_size=5),
+       _PAUSES)
+def test_inline_paths_match_slowpath_on_random_programs(programs, pauses):
+    fast = _run_program(programs, pauses, fastpath=True)
+    slow = _run_program(programs, pauses, fastpath=False)
+    assert fast == slow
