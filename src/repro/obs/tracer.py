@@ -18,13 +18,16 @@ invariant, which the sanitizer suite pins.
 
 The module-level :data:`ACTIVE` handle is the single enable flag:
 instrumentation sites read it once per operation and do nothing (no
-allocation) when it is ``None``.
+allocation) when it is ``None``.  Phase-shaped sites use :func:`span`,
+which owns the begin, the end and the abort-on-error; with tracing off
+it costs one context-manager entry and exit and records nothing.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 #: The installed tracer, or ``None`` (the default: tracing disabled).
 #: Hot paths read this exactly once per guarded operation.
@@ -268,6 +271,33 @@ def validate_chrome_trace(blob: Any) -> list[str]:
                 if not isinstance(value, (int, float)) or value < 0:
                     problems.append(f"{where}: bad {key}: {value!r}")
     return problems
+
+
+@contextmanager
+def span(name: str, env: Any, lane: str | None, proc: str = "worker0",
+         cat: str = "invoke", args: dict[str, Any] | None = None,
+         ) -> Iterator[dict[str, Any]]:
+    """Trace the enclosed block as one span on ``(proc, lane)``.
+
+    ``env`` supplies the simulated clock (``env.now``) at entry and
+    exit.  Yields a dict whose entries become the span's end arguments.
+    Any exception leaving the block aborts the whole lane (every open
+    span on it closes with ``status="error"``) before it propagates.
+    Records nothing when tracing is off or ``lane`` is ``None``.
+    """
+    tracer = ACTIVE
+    end_args: dict[str, Any] = {}
+    if tracer is None or lane is None:
+        yield end_args
+        return
+    handle = tracer.begin(name, env.now, lane=lane, proc=proc, cat=cat,
+                          args=args)
+    try:
+        yield end_args
+    except BaseException:
+        tracer.abort_lane(lane, env.now, proc=proc)
+        raise
+    tracer.end(handle, env.now, args=end_args)
 
 
 def install(tracer: SpanTracer | None = None) -> SpanTracer:

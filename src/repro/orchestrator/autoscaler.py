@@ -84,18 +84,16 @@ class Autoscaler:
         use_warm = bool(entry.warm) and state.in_flight < len(entry.warm)
         if not use_warm and state.in_flight >= self.params.max_instances:
             use_warm = True  # saturate existing instances rather than grow
-        tracer = obs_tracer.ACTIVE
-        if tracer is not None:
-            # Admission is instantaneous in this model (no request
-            # queueing ahead of the scale decision), so the span closes
-            # at its start time; it still records the decision and the
-            # concurrency the request saw.
-            span = tracer.begin(
-                "admission", self.env.now, lane=f"{name}@{arrival}",
-                proc=self.orchestrator.obs_proc, cat="admission",
-                args={"function": name, "in_flight": state.in_flight})
-            tracer.end(span, self.env.now,
-                       args={"decision": "warm" if use_warm else "cold"})
+        # Admission is instantaneous in this model (no request queueing
+        # ahead of the scale decision), so the span closes at its start
+        # time; it still records the decision and the concurrency the
+        # request saw.
+        lane = f"{name}@{arrival}" if obs_tracer.ACTIVE is not None else None
+        with obs_tracer.span("admission", self.env, lane,
+                             self.orchestrator.obs_proc, cat="admission",
+                             args={"function": name,
+                                   "in_flight": state.in_flight}) as end_args:
+            end_args["decision"] = "warm" if use_warm else "cold"
         state.in_flight += 1
         try:
             if use_warm and entry.warm:

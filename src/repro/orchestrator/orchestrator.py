@@ -14,9 +14,12 @@ The invocation path mirrors the paper's breakdown exactly:
    invocation's access trace;
 5. **finalize** -- record-mode artifact writes (§6.4's one-time cost).
 
-Warm instances (memory-resident, connected) skip all restore work and
-serve at their warm latency, which is how the paper's warm bars and the
-warm-background experiment run.
+Phases 1-3, after the tiered store promotes and pins the artifacts,
+are one restore stage (:meth:`Orchestrator._restore`).  A cold start
+runs it and then 4-5; a speculative prewarm is the same restore, then
+park.  Warm instances (memory-resident, connected) skip all restore
+work and serve at their warm latency, which is how the paper's warm
+bars and the warm-background experiment run.
 
 See also :mod:`repro.core.manager` (which policy a cold start gets),
 :mod:`repro.core.policies` (what each policy does),
@@ -247,37 +250,15 @@ class Orchestrator:
         breakdown = LatencyBreakdown(policy="warm", function=entry.profile.name,
                                      invocation=invocation)
         started = self.env.now
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        warm_span = span = None
-        if tracer is not None:
-            lane = f"{entry.profile.name}#{invocation}"
-            warm_span = tracer.begin(
-                "warm_start", started, lane=lane, proc=self.obs_proc,
-                args={"function": entry.profile.name,
-                      "invocation": invocation})
-        handler = self._anonymous_fault_handler(vm, breakdown)
-        try:
+        lane = (f"{entry.profile.name}#{invocation}"
+                if obs_tracer.ACTIVE is not None else None)
+        with obs_tracer.span("warm_start", self.env, lane, self.obs_proc,
+                             args={"function": entry.profile.name,
+                                   "invocation": invocation}):
             # Connection already alive: no handshake, no restore work.
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("processing", phase_start, lane=lane,
-                                    proc=self.obs_proc)
-            s3_us = self.host.s3_fetch_us(entry.profile.input_bytes)
-            if s3_us > 0:
-                yield self.env.timeout(s3_us)
-            compute_us = max(trace.processing_compute_us - s3_us, 0.0)
-            yield from vm.vcpu.execute_phase(
-                vm.memory, trace.processing_pages, compute_us, handler,
-                obs_lane=lane, obs_proc=self.obs_proc)
-            breakdown.processing_us = self.env.now - phase_start
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(span, self.env.now)
-            tracer.end(warm_span, self.env.now)
+            yield from self._process(
+                entry, vm, trace, self._anonymous_fault_handler(vm, breakdown),
+                breakdown, lane)
         vm.invocations_served += 1
         return InvocationResult(
             function=entry.profile.name, invocation=invocation, mode="warm",
@@ -296,217 +277,202 @@ class Orchestrator:
 
         return handler
 
-    # -- cold path ---------------------------------------------------------------
-
-    def _invoke_cold(self, entry: DeployedFunction, mode: str | None,
-                     flush_page_cache: bool, keep_warm: bool,
-                     ) -> Generator[Event, Any, InvocationResult]:
-        if entry.snapshot is None:
-            raise RuntimeError(
-                f"function {entry.profile.name!r} has no snapshot and no "
-                f"warm instance")
-        snapshot = entry.snapshot
-        invocation = entry.invocations
-        entry.invocations += 1
-        breakdown = LatencyBreakdown(function=entry.profile.name,
-                                     invocation=invocation)
-        if flush_page_cache:
-            self.host.flush_page_cache()
-        started = self.env.now
-
-        # 0. Resolve the restore mode up front; the tiered store then
-        # promotes + pins exactly the artifacts this mode reads eagerly
-        # (evicted ones pay the remote path, §7.1).  Resolving once also
-        # pins the policy itself: REAP state may change across the
-        # promote/load yields (a concurrent record completing), and the
-        # policy must match what was promoted.
-        selected = mode or self._auto_mode(entry.profile.name)
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        cold_span = None
-        if tracer is not None:
-            lane = f"{entry.profile.name}#{invocation}"
-            cold_span = tracer.begin(
-                "cold_start", started, lane=lane, proc=self.obs_proc,
-                args={"function": entry.profile.name,
-                      "invocation": invocation, "mode": selected})
-        try:
-            pinned = []
-            if self.snapstore is not None:
-                span = None
-                if tracer is not None:
-                    span = tracer.begin("artifact_ensure", self.env.now,
-                                        lane=lane, proc=self.obs_proc,
-                                        cat="snapstore")
-                pinned = yield from self.snapstore.ensure_for_restore(
-                    entry.profile.name, selected, breakdown)
-                if tracer is not None:
-                    tracer.end(span, self.env.now,
-                               args={"pinned": len(pinned)})
-                if (mode is None
-                        and selected in PREFETCH_POLICIES
-                        and breakdown.extra.get("artifact_unreachable")):
-                    # The recorded trace/WS artifacts sit behind an
-                    # unreachable remote service: degrade to a vanilla
-                    # restore (lazy faults hit whatever is locally
-                    # resident) instead of failing in prepare().
-                    selected = "vanilla"
-                    breakdown.extra["degraded_to_vanilla"] = True
-            try:
-                result = yield from self._restore_and_serve(
-                    entry, snapshot, selected, breakdown, invocation,
-                    started, keep_warm, forced=mode is not None,
-                    obs_lane=lane)
-            finally:
-                if pinned:
-                    self.snapstore.unpin(pinned)
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(cold_span, self.env.now,
-                       args={"policy": result.mode,
-                             "total_us": breakdown.total_us})
-        return result
-
-    def _restore_and_serve(self, entry: DeployedFunction,
-                           snapshot: Snapshot, mode: str,
-                           breakdown: LatencyBreakdown, invocation: int,
-                           started: float, keep_warm: bool,
-                           forced: bool = False,
-                           obs_lane: str | None = None,
-                           ) -> Generator[Event, Any, InvocationResult]:
-        tracer = obs_tracer.ACTIVE if obs_lane is not None else None
-        proc = self.obs_proc
-        span = None
-
-        # 1. Load VMM (containerd + Firecracker + state file + devices).
-        if tracer is not None:
-            span = tracer.begin("load_vmm", self.env.now, lane=obs_lane,
-                                proc=proc, cat="restore")
-        yield from self._load_vmm(snapshot, breakdown)
-        if tracer is not None:
-            tracer.end(span, self.env.now)
-
-        # A concurrent invocation may have invalidated the recording
-        # (re-record / refresh) during the promote/load yields; an
-        # auto-selected prefetch mode then falls back gracefully rather
-        # than demanding artifacts that no longer exist.
-        if (not forced and mode in PREFETCH_POLICIES
-                and self.reap.state_for(entry.profile.name).artifacts
-                is None):
-            mode = self._auto_mode(entry.profile.name)
-
-        # 2. Instantiate and eagerly populate per the restore policy.
-        policy = self._policy_for(snapshot, breakdown, mode)
-        trace = entry.behavior.trace_for(invocation,
-                                         record=(policy.name == "record"))
-        vm = self.snapshot_store.instantiate(snapshot, policy.backing,
-                                             content=self.content)
-        policy.attach(vm)
-        try:
-            if tracer is not None:
-                span = tracer.begin("prepare", self.env.now, lane=obs_lane,
-                                    proc=proc, cat="restore",
-                                    args={"policy": policy.name})
-            try:
-                yield from policy.prepare(vm)
-            except ArtifactFormatError:
-                # Corrupted trace/WS file: the demand monitor can still
-                # serve every page, so the invocation proceeds (slower);
-                # the stale artifacts are discarded so the next cold
-                # start re-records.
-                breakdown.extra["artifact_error"] = True
-                self.reap.state_for(entry.profile.name).artifacts = None
-                if self.snapstore is not None:
-                    self.snapstore.release_reap_artifacts(
-                        entry.profile.name)
-            if tracer is not None:
-                tracer.end(span, self.env.now,
-                           args={"fetch_ws_us": breakdown.fetch_ws_us,
-                                 "install_ws_us": breakdown.install_ws_us,
-                                 "prefetched": breakdown.prefetched_pages})
-            vm.transition(VmState.RUNNING)
-            handler = policy.fault_handler(vm)
-
-            # 3. Connection restoration (handshake + guest infra pages).
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("connection", phase_start,
-                                    lane=obs_lane, proc=proc,
-                                    cat="restore")
-            yield self.env.timeout(self.host.params.grpc_handshake_ms * MS)
-            yield from vm.vcpu.execute_phase(
-                vm.memory, trace.connection_pages,
-                trace.connection_compute_us, handler,
-                obs_lane=obs_lane, obs_proc=proc)
-            vm.connected = True
-            breakdown.connection_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
-
-            # 4. Function processing (S3 input + handler execution).
-            phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("processing", phase_start,
-                                    lane=obs_lane, proc=proc)
+    def _process(self, entry: DeployedFunction, vm: MicroVM,
+                 trace: AccessTrace, handler, breakdown: LatencyBreakdown,
+                 lane: str | None) -> Generator[Event, Any, None]:
+        """4. Function processing (S3 input + handler execution)."""
+        phase_start = self.env.now
+        with obs_tracer.span("processing", self.env, lane, self.obs_proc):
             s3_us = self.host.s3_fetch_us(entry.profile.input_bytes)
             if s3_us > 0:
                 yield self.env.timeout(s3_us)
             compute_us = max(trace.processing_compute_us - s3_us, 0.0)
             yield from vm.vcpu.execute_phase(
                 vm.memory, trace.processing_pages, compute_us, handler,
-                obs_lane=obs_lane, obs_proc=proc)
-            breakdown.processing_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
+                obs_lane=lane, obs_proc=self.obs_proc)
+        breakdown.processing_us = self.env.now - phase_start
 
-            # 5. Finalize (record artifacts; misprediction accounting).
+    # -- cold path ---------------------------------------------------------------
+
+    def _invoke_cold(self, entry: DeployedFunction, mode: str | None,
+                     flush_page_cache: bool, keep_warm: bool,
+                     ) -> Generator[Event, Any, InvocationResult]:
+        name = entry.profile.name
+        if entry.snapshot is None:
+            raise RuntimeError(
+                f"function {name!r} has no snapshot and no warm instance")
+        invocation = entry.invocations
+        entry.invocations += 1
+        breakdown = LatencyBreakdown(function=name, invocation=invocation)
+        if flush_page_cache:
+            self.host.flush_page_cache()
+        started = self.env.now
+
+        # Resolve the restore mode up front; the tiered store then
+        # promotes + pins exactly the artifacts this mode reads eagerly
+        # (evicted ones pay the remote path, §7.1).  Resolving once also
+        # pins the policy itself: REAP state may change across the
+        # promote/load yields (a concurrent record completing), and the
+        # policy must match what was promoted.
+        selected = mode or self._auto_mode(name)
+        lane = (f"{name}#{invocation}"
+                if obs_tracer.ACTIVE is not None else None)
+        with obs_tracer.span("cold_start", self.env, lane, self.obs_proc,
+                             args={"function": name,
+                                   "invocation": invocation,
+                                   "mode": selected}) as end_args:
+            warm, handler, trace, pinned = yield from self._restore(
+                entry, selected, breakdown, invocation, lane,
+                forced=mode is not None)
+            vm, policy = warm.vm, warm.policy
+            try:
+                yield from self._process(entry, vm, trace, handler,
+                                         breakdown, lane)
+                # 5. Finalize (record artifacts; misprediction accounting).
+                phase_start = self.env.now
+                with obs_tracer.span("finalize", self.env, lane,
+                                     self.obs_proc, cat="restore"):
+                    yield from policy.finish(vm)
+                breakdown.finalize_us = self.env.now - phase_start
+                # §7.1 mispredictions: only prefetch policies install pages
+                # that can go untouched; every other policy reports an
+                # explicit 0 so aggregations see the field uniformly.
+                # Policies that install beyond the recorded set (predict)
+                # expose the full set via ``prefetched_page_set``.
+                prefetched_set = getattr(policy, "prefetched_page_set", None)
+                if (prefetched_set is None
+                        and policy.name in PREFETCH_POLICIES
+                        and policy.artifacts is not None):
+                    prefetched_set = policy.artifacts.page_set
+                if prefetched_set is not None:
+                    breakdown.unused_prefetched = len(
+                        prefetched_set - trace.page_set)
+                else:
+                    breakdown.unused_prefetched = 0
+                self.reap.complete(name, policy)
+                if self.policy_layer is not None:
+                    self.policy_layer.observe_complete(name, policy)
+            except BaseException:
+                self._teardown_instance(warm)
+                raise
+            finally:
+                # Pins outlive complete(): a record registers new
+                # artifacts, whose admission must not evict these.
+                if pinned:
+                    self.snapstore.unpin(pinned)
+            vm.invocations_served += 1
+            if keep_warm:
+                entry.warm.append(warm)
+            else:
+                self._teardown_instance(warm)
+            end_args["policy"] = policy.name
+            end_args["total_us"] = breakdown.total_us
+        return InvocationResult(
+            function=name, invocation=invocation, mode=policy.name,
+            breakdown=breakdown, trace=trace, started_at=started,
+            finished_at=self.env.now)
+
+    def _restore(self, entry: DeployedFunction, mode: str,
+                 breakdown: LatencyBreakdown, invocation: int,
+                 lane: str | None, forced: bool = False,
+                 speculative: bool = False,
+                 ) -> Generator[Event, Any,
+                                tuple[WarmInstance, Any, AccessTrace, list]]:
+        """The restore stage: phases 0-3, up to a connected instance.
+
+        Shared by the cold path and :meth:`prewarm`.  Returns
+        ``(instance, fault handler, trace, pins)``; the caller owns the
+        instance and must unpin the pins once done with it.  On failure
+        the instance is torn down and the pins released before the
+        exception propagates.  ``forced`` keeps ``mode`` as given;
+        otherwise it is re-resolved when the artifacts it needs are
+        gone, and a ``speculative`` re-resolution never records.
+        """
+        name = entry.profile.name
+        snapshot = entry.snapshot
+        proc = self.obs_proc
+        pinned = []
+        # 0. Promote + pin the artifacts this mode reads eagerly.
+        if self.snapstore is not None:
+            with obs_tracer.span("artifact_ensure", self.env, lane, proc,
+                                 cat="snapstore") as end_args:
+                pinned = yield from self.snapstore.ensure_for_restore(
+                    name, mode, breakdown)
+                end_args["pinned"] = len(pinned)
+            if (not forced and mode in PREFETCH_POLICIES
+                    and breakdown.extra.get("artifact_unreachable")):
+                # The recorded trace/WS artifacts sit behind an
+                # unreachable remote service: degrade to a vanilla
+                # restore (lazy faults hit whatever is locally
+                # resident) instead of failing in prepare().
+                mode = "vanilla"
+                breakdown.extra["degraded_to_vanilla"] = True
+        warm = None
+        try:
+            # 1. Load VMM (containerd + Firecracker + state file + devices).
+            with obs_tracer.span("load_vmm", self.env, lane, proc,
+                                 cat="restore"):
+                yield from self._load_vmm(snapshot, breakdown)
+
+            # A concurrent invocation may have invalidated the recording
+            # (re-record / refresh) during the promote/load yields; an
+            # auto-selected prefetch mode then falls back gracefully
+            # rather than demanding artifacts that no longer exist.
+            if (not forced and mode in PREFETCH_POLICIES
+                    and self.reap.state_for(name).artifacts is None):
+                mode = self._auto_mode(name, speculative)
+
+            # 2. Instantiate and eagerly populate per the restore policy.
+            policy = self._policy_for(snapshot, breakdown, mode)
+            trace = entry.behavior.trace_for(
+                invocation, record=(policy.name == "record"))
+            vm = self.snapshot_store.instantiate(snapshot, policy.backing,
+                                                 content=self.content)
+            policy.attach(vm)
+            warm = WarmInstance(vm=vm, policy=policy)
+            with obs_tracer.span("prepare", self.env, lane, proc,
+                                 cat="restore",
+                                 args={"policy": policy.name}) as end_args:
+                try:
+                    yield from policy.prepare(vm)
+                except ArtifactFormatError:
+                    # Corrupted trace/WS file: the demand monitor can
+                    # still serve every page, so the restore proceeds
+                    # (slower); the stale artifacts are discarded so the
+                    # next cold start re-records.
+                    breakdown.extra["artifact_error"] = True
+                    self.reap.state_for(name).artifacts = None
+                    if self.snapstore is not None:
+                        self.snapstore.release_reap_artifacts(name)
+                end_args.update(fetch_ws_us=breakdown.fetch_ws_us,
+                                install_ws_us=breakdown.install_ws_us,
+                                prefetched=breakdown.prefetched_pages)
+            vm.transition(VmState.RUNNING)
+            handler = policy.fault_handler(vm)
+
+            # 3. Connection restoration (handshake + guest infra pages).
             phase_start = self.env.now
-            if tracer is not None:
-                span = tracer.begin("finalize", phase_start, lane=obs_lane,
-                                    proc=proc, cat="restore")
-            yield from policy.finish(vm)
-            breakdown.finalize_us = self.env.now - phase_start
-            if tracer is not None:
-                tracer.end(span, self.env.now)
+            with obs_tracer.span("connection", self.env, lane, proc,
+                                 cat="restore"):
+                yield self.env.timeout(
+                    self.host.params.grpc_handshake_ms * MS)
+                yield from vm.vcpu.execute_phase(
+                    vm.memory, trace.connection_pages,
+                    trace.connection_compute_us, handler,
+                    obs_lane=lane, obs_proc=proc)
+            vm.connected = True
+            breakdown.connection_us = self.env.now - phase_start
         except BaseException:
             # An Interrupt or model error at any yield above would leak
-            # the instance: its monitor process keeps polling the uffd
-            # queue and the uffd keeps its registration (the sanitizer's
-            # end-of-run leak check).  Tear it down before propagating.
-            # (The caller's abort closes any spans left open here.)
-            self._teardown_instance(WarmInstance(vm=vm, policy=policy))
+            # the instance (its monitor keeps polling the uffd queue,
+            # the uffd keeps its registration) and the pins -- the
+            # sanitizer's end-of-run leak check.
+            if warm is not None:
+                self._teardown_instance(warm)
+            if pinned:
+                self.snapstore.unpin(pinned)
             raise
-        # §7.1 mispredictions: only prefetch policies install pages that
-        # can go untouched; every other policy reports an explicit 0 so
-        # aggregations see the field uniformly.  Policies that install
-        # beyond the recorded set (predict) expose the full set via
-        # ``prefetched_page_set``.
-        prefetched_set = getattr(policy, "prefetched_page_set", None)
-        if (prefetched_set is None and policy.name in PREFETCH_POLICIES
-                and policy.artifacts is not None):
-            prefetched_set = policy.artifacts.page_set
-        if prefetched_set is not None:
-            breakdown.unused_prefetched = len(
-                prefetched_set - trace.page_set)
-        else:
-            breakdown.unused_prefetched = 0
-        self.reap.complete(entry.profile.name, policy)
-        if self.policy_layer is not None:
-            self.policy_layer.observe_complete(entry.profile.name, policy)
-
-        vm.invocations_served += 1
-        warm = WarmInstance(vm=vm, policy=policy)
-        if keep_warm:
-            entry.warm.append(warm)
-        else:
-            self._teardown_instance(warm)
-        return InvocationResult(
-            function=entry.profile.name, invocation=invocation,
-            mode=policy.name, breakdown=breakdown, trace=trace,
-            started_at=started, finished_at=self.env.now)
+        return warm, handler, trace, pinned
 
     def _load_vmm(self, snapshot: Snapshot, breakdown: LatencyBreakdown,
                   ) -> Generator[Event, Any, None]:
@@ -525,11 +491,17 @@ class Orchestrator:
         yield self.env.timeout(params.device_setup_ms * MS)
         breakdown.load_vmm_us = self.env.now - phase_start
 
-    def _auto_mode(self, name: str) -> str:
-        """Automatic restore-mode selection (REAP, then the layer)."""
+    def _auto_mode(self, name: str, speculative: bool = False) -> str:
+        """Automatic restore-mode selection (REAP, then the layer).
+
+        A ``speculative`` restore never records: without recorded
+        artifacts it is a plain vanilla restore.
+        """
         selected = self.reap.mode_for(name)
         if self.policy_layer is not None:
             selected = self.policy_layer.select_mode(name, selected)
+        if speculative and selected == "record":
+            return "vanilla"
         return selected
 
     def _policy_for(self, snapshot: Snapshot,
@@ -546,89 +518,40 @@ class Orchestrator:
         """Speculatively restore one instance up to its connected state.
 
         The ``prewarm`` scheme's timer path (:mod:`repro.policies.prewarm`):
-        a full cold restore -- artifact promotion, VMM load, policy
-        prepare, gRPC handshake, connection pages -- that then parks the
-        instance in the warm pool instead of serving an invocation.  The
-        next arrival hits warm.  Speculation never records (no recorded
-        artifacts means a plain vanilla restore) and never consumes an
+        the same restore stage a cold start runs (artifact promotion,
+        VMM load, policy prepare, gRPC handshake, connection pages),
+        then :meth:`RestorePolicy.finish` and park the instance in the
+        warm pool instead of serving an invocation.  The next arrival
+        hits warm.  Speculation never records (no recorded artifacts
+        means a plain vanilla restore) and never consumes an
         invocation's trace.  Returns whether an instance was parked.
         """
         entry = self.function(name)
         if entry.snapshot is None or entry.warm:
             return False
-        snapshot = entry.snapshot
-        breakdown = LatencyBreakdown(function=entry.profile.name,
-                                     invocation=-1)
-        selected = self._auto_mode(name)
-        if selected == "record":
-            selected = "vanilla"
-        tracer = obs_tracer.ACTIVE
-        lane = None
-        span = None
-        if tracer is not None:
-            lane = f"prewarm:{name}"
-            span = tracer.begin(
-                "prewarm", self.env.now, lane=lane, proc=self.obs_proc,
-                cat="policy",
-                args={"function": name, "mode": selected})
-        try:
-            pinned = []
-            if self.snapstore is not None:
-                pinned = yield from self.snapstore.ensure_for_restore(
-                    name, selected, breakdown)
-                if (selected in PREFETCH_POLICIES
-                        and breakdown.extra.get("artifact_unreachable")):
-                    selected = "vanilla"
+        breakdown = LatencyBreakdown(function=name, invocation=-1)
+        selected = self._auto_mode(name, speculative=True)
+        lane = f"prewarm:{name}" if obs_tracer.ACTIVE is not None else None
+        with obs_tracer.span("prewarm", self.env, lane, self.obs_proc,
+                             cat="policy",
+                             args={"function": name,
+                                   "mode": selected}) as end_args:
+            # Peek (not consume) the next invocation's trace: the
+            # connection pages are the stable infrastructure set.
+            warm, _, _, pinned = yield from self._restore(
+                entry, selected, breakdown, entry.invocations, lane,
+                speculative=True)
             try:
-                yield from self._load_vmm(snapshot, breakdown)
-                if (selected in PREFETCH_POLICIES
-                        and self.reap.state_for(name).artifacts is None):
-                    selected = self._auto_mode(name)
-                    if selected == "record":
-                        selected = "vanilla"
-                policy = self._policy_for(snapshot, breakdown, selected)
-                # Peek (not consume) the next invocation's trace: the
-                # connection pages are the stable infrastructure set.
-                trace = entry.behavior.trace_for(entry.invocations)
-                vm = self.snapshot_store.instantiate(
-                    snapshot, policy.backing, content=self.content)
-                policy.attach(vm)
-                try:
-                    try:
-                        yield from policy.prepare(vm)
-                    except ArtifactFormatError:
-                        breakdown.extra["artifact_error"] = True
-                        self.reap.state_for(name).artifacts = None
-                        if self.snapstore is not None:
-                            self.snapstore.release_reap_artifacts(name)
-                    vm.transition(VmState.RUNNING)
-                    handler = policy.fault_handler(vm)
-                    phase_start = self.env.now
-                    yield self.env.timeout(
-                        self.host.params.grpc_handshake_ms * MS)
-                    yield from vm.vcpu.execute_phase(
-                        vm.memory, trace.connection_pages,
-                        trace.connection_compute_us, handler,
-                        obs_lane=lane, obs_proc=self.obs_proc)
-                    vm.connected = True
-                    breakdown.connection_us = self.env.now - phase_start
-                    yield from policy.finish(vm)
-                except BaseException:
-                    self._teardown_instance(
-                        WarmInstance(vm=vm, policy=policy))
-                    raise
-                entry.warm.append(WarmInstance(vm=vm, policy=policy))
+                yield from warm.policy.finish(warm.vm)
+            except BaseException:
+                self._teardown_instance(warm)
+                raise
             finally:
                 if pinned:
                     self.snapstore.unpin(pinned)
-        except BaseException:
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if tracer is not None:
-            tracer.end(span, self.env.now,
-                       args={"policy": policy.name,
-                             "total_us": breakdown.total_us})
+            entry.warm.append(warm)
+            end_args["policy"] = warm.policy.name
+            end_args["total_us"] = breakdown.total_us
         return True
 
     def _teardown_instance(self, warm: WarmInstance) -> None:

@@ -267,7 +267,6 @@ class TierCache:
         """
         tracer = obs_tracer.ACTIVE
         lane = None
-        span = None
         if tracer is not None:
             self._ensure_seq += 1
             lane = f"{function}:ensure{self._ensure_seq}"
@@ -292,15 +291,12 @@ class TierCache:
                     # Another restore is already fetching this artifact;
                     # wait for its transfer instead of a duplicate fetch.
                     self.stats.coalesced += 1
-                    if tracer is not None:
-                        span = tracer.begin(
-                            "promote_wait", self.env.now, lane=lane,
-                            proc=self.obs_proc, cat="snapstore",
+                    with obs_tracer.span(
+                            "promote_wait", self.env, lane, self.obs_proc,
+                            cat="snapstore",
                             args={"artifact": entry.kind,
-                                  "bytes": entry.size})
-                    yield entry.promote_done
-                    if tracer is not None:
-                        tracer.end(span, self.env.now)
+                                  "bytes": entry.size}):
+                        yield entry.promote_done
                     continue
                 self.stats.remote_misses += 1
                 if not self._admit(entry):
@@ -357,39 +353,32 @@ class TierCache:
         whose reads then flow through the remote device per access.
         Without that the budget bytes and the waiters leak forever.
         """
-        tracer = obs_tracer.ACTIVE
-        span = None
-        if tracer is not None:
-            span = tracer.begin(
-                "promote", self.env.now, lane=lane,
-                proc=self.obs_proc, cat="snapstore",
-                args={"artifact": entry.kind, "bytes": entry.size})
-        try:
-            # One large sequential fetch from the remote service.
-            yield from self.remote_device.read(IoRequest(
-                lba=entry.file.to_lba(0), nbytes=entry.size,
-                kind=ReadKind.BUFFERED))
-        except BaseException:
-            if entry.charged:
-                entry.charged = False
-                self.local_bytes_used -= entry.size
+        with obs_tracer.span("promote", self.env, lane, self.obs_proc,
+                             cat="snapstore",
+                             args={"artifact": entry.kind,
+                                   "bytes": entry.size}):
+            try:
+                # One large sequential fetch from the remote service.
+                yield from self.remote_device.read(IoRequest(
+                    lba=entry.file.to_lba(0), nbytes=entry.size,
+                    kind=ReadKind.BUFFERED))
+            except BaseException:
+                if entry.charged:
+                    entry.charged = False
+                    self.local_bytes_used -= entry.size
+                done, entry.promote_done = entry.promote_done, None
+                done.succeed()
+                raise
+            if self._entries.get(entry.file.name) is entry:
+                entry.file.device = entry.home_device
+                entry.local = True
+                self._count_local(entry, +1)
+                self.stats.promotions += 1
+                self.stats.promoted_bytes += entry.size
+            # else: released mid-transfer (superseded generation) -- the
+            # file stays on the remote path and release() uncharged it.
             done, entry.promote_done = entry.promote_done, None
             done.succeed()
-            if tracer is not None:
-                tracer.abort_lane(lane, self.env.now, proc=self.obs_proc)
-            raise
-        if self._entries.get(entry.file.name) is entry:
-            entry.file.device = entry.home_device
-            entry.local = True
-            self._count_local(entry, +1)
-            self.stats.promotions += 1
-            self.stats.promoted_bytes += entry.size
-        # else: released mid-transfer (superseded generation) -- the
-        # file stays on the remote path and release() uncharged it.
-        done, entry.promote_done = entry.promote_done, None
-        done.succeed()
-        if tracer is not None:
-            tracer.end(span, self.env.now)
 
     def _promote_bounded(self, entry: TierEntry,
                          lane: str | None) -> Generator[Event, Any, None]:

@@ -1,6 +1,6 @@
 """Shared property/golden test helpers for the experiment suites.
 
-Two facilities, both reused across test modules:
+Three facilities, each reused across test modules:
 
 * :func:`seeded_cases` -- a deterministic case generator over
   (function, trace class, restore scheme) combinations for property
@@ -9,7 +9,11 @@ Two facilities, both reused across test modules:
 * :func:`assert_cell_digest_stable` -- a golden-digest assertion: run
   an experiment's cells with fixed params and compare each cell's
   canonical payload digest against ``tests/golden_digests.json``.
-  Regenerate the goldens with ``REPRO_UPDATE_GOLDEN=1``.
+  Regenerate the goldens with ``REPRO_UPDATE_GOLDEN=1``;
+* :func:`prewarm_orchestrator` and :func:`drive_prewarm_arrivals` -- a
+  1-worker orchestrator under the ``prewarm`` scheme, fed evenly spaced
+  ``helloworld`` arrivals so speculative restores fire (the floor-study
+  mixes fire at most one).
 
 The golden file is the zero-cost-off witness for optional layers
 (observability in PR 8, the cold-start policy layer in this PR): the
@@ -30,6 +34,13 @@ from repro.bench.cache import canonicalize
 from repro.bench.experiments import EXPERIMENTS, resolve
 from repro.bench.experiments.spec import run_cell_checked
 from repro.bench.perf import payload_digest
+from repro.functions import get_profile
+from repro.orchestrator.orchestrator import InvocationResult, Orchestrator
+from repro.policies import PolicyLayerParameters
+from repro.sim.engine import Environment
+from repro.sim.units import SEC
+from repro.snapstore.tier import TierParameters
+from repro.vm.host import WorkerHost
 
 #: Where the pinned digests live (committed to the repo).
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_digests.json"
@@ -131,3 +142,47 @@ def assert_cell_digest_stable(experiment_id: str,
         assert digests == expected, (
             f"cell digests drifted for {key}:\n"
             f"  expected {expected}\n  got      {digests}")
+
+
+def prewarm_orchestrator(seed: int = 7, tiered: bool = True) -> Orchestrator:
+    """1-worker orchestrator under the ``prewarm`` scheme.
+
+    ``tiered`` puts the artifacts in a default local tier over remote
+    storage.  ``helloworld`` is deployed; three observed gaps arm the
+    prewarm timer.
+    """
+    env = Environment()
+    orchestrator = Orchestrator(
+        WorkerHost(env, seed=seed), seed=seed,
+        snapstore_params=TierParameters() if tiered else None,
+        policy_params=PolicyLayerParameters(scheme="prewarm",
+                                            prewarm_min_samples=3))
+    env.run(until=env.process(
+        orchestrator.deploy(get_profile("helloworld"))))
+    return orchestrator
+
+
+def drive_prewarm_arrivals(orchestrator: Orchestrator,
+                           arrivals: int = 12) -> list[InvocationResult]:
+    """Invoke ``helloworld`` ``arrivals`` times, 30 s apart.
+
+    Every invocation is followed by evicting the warm pool, so each
+    warm hit comes from a prewarm; on a tiered orchestrator every 4th
+    also drops the local tier, so the next restore promotes its
+    artifacts again.  The run ends 30 s after the last arrival, with
+    the prewarm timers still armed.
+    """
+    env = orchestrator.env
+
+    def drive():
+        results = []
+        for index in range(arrivals):
+            result = yield from orchestrator.invoke("helloworld")
+            results.append(result)
+            orchestrator.evict_warm("helloworld")
+            if index % 4 == 3 and orchestrator.snapstore is not None:
+                orchestrator.snapstore.cache.lose_local()
+            yield env.timeout(30.0 * SEC)
+        return results
+
+    return env.run(until=env.process(drive()))

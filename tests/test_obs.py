@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from harness import drive_prewarm_arrivals, prewarm_orchestrator
 from repro.bench.cache import canonicalize
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.experiments.spec import run_cell_checked
@@ -277,6 +278,26 @@ def test_interrupt_mid_restore_closes_spans_with_error(tracer):
         assert span.closed
 
 
+@pytest.mark.parametrize("tiered", [True, False])
+def test_prewarm_span_carries_the_restore_phases(tracer, tiered):
+    orchestrator = prewarm_orchestrator(tiered=tiered)
+    drive_prewarm_arrivals(orchestrator)
+    orchestrator.policy_layer.stop()
+    prewarms = tracer.spans_named("prewarm")
+    assert len(prewarms) == orchestrator.policy_layer.prewarm.prewarms
+    assert prewarms
+    expected = ["load_vmm", "prepare", "connection"]
+    if tiered:
+        expected.insert(0, "artifact_ensure")
+    for prewarm in prewarms:
+        assert prewarm.status == "ok"
+        children = [span for span in tracer.spans if span.parent is prewarm]
+        assert [span.name for span in children] == expected
+        assert all(span.closed and span.status == "ok"
+                   for span in children)
+    assert not tracer.open_spans()
+
+
 def test_autoscaler_emits_admission_spans(tracer):
     env = Environment()
     from repro.vm import WorkerHost
@@ -378,6 +399,14 @@ def _digest_with_obs(experiment, cell):
 def test_fig7_cell_payload_invariant_under_observability():
     experiment = EXPERIMENTS["fig7"]
     cell = experiment.cells(seed=42)[0]
+    assert _cell_digest(experiment, cell) == \
+        _digest_with_obs(experiment, cell)
+
+
+def test_floor_study_prewarm_cell_payload_invariant_under_observability():
+    experiment = EXPERIMENTS["floor_study"]
+    cell, = [cell for cell in experiment.cells(seed=42, mixes=("sporadic",))
+             if cell.label == "sporadic/prewarm"]
     assert _cell_digest(experiment, cell) == \
         _digest_with_obs(experiment, cell)
 

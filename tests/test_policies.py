@@ -14,16 +14,24 @@ Covers the :mod:`repro.policies` layer three ways:
   with :func:`repro.memory.working_set.reuse_between`;
 * crash regression -- interrupting a prefetch/resume overlap mid-stream
   (the PR-9 worker-crash fault) unwinds the background stream and
-  leaves nothing behind under ``REPRO_SANITIZE=1``.
+  leaves nothing behind under ``REPRO_SANITIZE=1``; so does crashing a
+  speculative prewarm in any restore phase.  A tiered 12-arrival
+  prewarm scenario is pinned invocation by invocation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from harness import seeded_cases
+from harness import (
+    drive_prewarm_arrivals,
+    prewarm_orchestrator,
+    seeded_cases,
+)
 from repro.bench.harness import Testbed
 from repro.functions import get_profile
 from repro.memory.working_set import reuse_between
@@ -37,6 +45,7 @@ from repro.policies import (
     SharedPolicy,
     SharedResidency,
 )
+from repro.obs import tracer as obs_tracer
 from repro.sim import sanitizer
 from repro.sim.engine import Interrupt
 from repro.sim.units import SEC
@@ -197,6 +206,34 @@ def test_prewarm_budget_blocks_speculation():
     assert layer.prewarm.skipped >= 1
 
 
+#: Per-invocation digests of the tiered prewarm scenario (see
+#: :func:`result_digest`), recorded while prewarm still ran its own copy
+#: of the restore pipeline.
+PREWARM_SCENARIO_DIGESTS = [
+    "ec78c024a2ef4c79", "efb7406ffcf13c7c", "2a0b59e89d54eeef",
+    "c92053499666bc2f", "5e5426c0e088eda1", "8f7b3adc64f4df08",
+    "0e559b895b04a7a9", "56d9f843cbe4f766", "c4cb4874ecbd4f8b",
+    "1991a26cc66f126f", "bcb8522cbb54602a", "0416c0ff339c69de",
+]
+
+
+def result_digest(result):
+    """Digest of one invocation's mode, timing and latency breakdown."""
+    blob = json.dumps([result.mode, result.started_at, result.finished_at,
+                       result.breakdown.to_dict()], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_tiered_prewarm_scenario_is_pinned():
+    orchestrator = prewarm_orchestrator()
+    results = drive_prewarm_arrivals(orchestrator)
+    orchestrator.policy_layer.stop()
+    assert orchestrator.policy_layer.prewarm.prewarms == 9
+    assert orchestrator.snapstore.cache.stats.promotions == 9
+    assert [result_digest(result) for result in results] == \
+        PREWARM_SCENARIO_DIGESTS
+
+
 # -- residency properties ----------------------------------------------------
 
 
@@ -317,6 +354,68 @@ def test_overlap_interrupt_mid_stream_releases_transfer(monkeypatch):
     result = testbed.invoke("helloworld", mode="overlap", use_warm=False)
     assert result.mode == "overlap"
     sanitizer.assert_no_leaks(context="overlap after crash recovery")
+
+
+@pytest.mark.parametrize("phase", ["artifact_ensure", "prepare",
+                                   "connection"])
+def test_prewarm_interrupted_mid_restore_leaves_nothing_behind(
+        monkeypatch, phase):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    sanitizer.reset()
+    tracer = obs_tracer.install()
+    try:
+        orchestrator = prewarm_orchestrator()
+        env = orchestrator.env
+        manager = orchestrator.policy_layer.prewarm
+        lane = "prewarm:helloworld"
+        policies = []
+        build_policy = orchestrator._policy_for
+        real_prewarm = orchestrator.prewarm
+
+        def policy_for(*args):
+            policies.append(build_policy(*args))
+            return policies[-1]
+
+        def crash_in_phase(timer):
+            # Poll until the restore is 100 us into ``phase``.
+            while True:
+                yield env.timeout(100.0)
+                if any(span.name == phase and span.lane == lane
+                       for span in tracer.open_spans()):
+                    break
+            timer.interrupt("worker-crash")
+
+        def prewarm(name):
+            env.process(crash_in_phase(manager._timers[name]))
+            return (yield from real_prewarm(name))
+
+        monkeypatch.setattr(orchestrator, "_policy_for", policy_for)
+        monkeypatch.setattr(orchestrator, "prewarm", prewarm)
+        # Four arrivals arm the timer and drop the local tier; the
+        # prewarm then fires (and crashes) during the final 30 s wait.
+        drive_prewarm_arrivals(orchestrator, arrivals=4)
+        orchestrator.policy_layer.stop()
+
+        assert manager.prewarms == 0
+        assert not orchestrator.function("helloworld").warm
+        assert all(entry.pins == 0 for entry in
+                   orchestrator.snapstore.cache.entries_for_leak_check())
+        if phase != "artifact_ensure":
+            # The last policy built is the prewarm's (REAP, uffd-backed).
+            assert policies[-1].uffd.closed
+        spans = [span for span in tracer.spans if span.lane == lane]
+        assert all(span.closed for span in spans)
+        statuses = {span.name: span.status for span in spans
+                    if span.name != "fault_window"}
+        assert statuses.pop("prewarm") == "error"
+        assert statuses.pop(phase) == "error"
+        # Phases that finished before the crash stay closed ``ok``.
+        order = ["artifact_ensure", "load_vmm", "prepare", "connection"]
+        assert statuses == {name: "ok"
+                            for name in order[:order.index(phase)]}
+        sanitizer.assert_no_leaks(context=f"prewarm crash in {phase}")
+    finally:
+        obs_tracer.uninstall()
 
 
 def test_scheme_constants_agree_with_registry():
