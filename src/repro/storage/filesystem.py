@@ -107,10 +107,14 @@ class SimFile:
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Return ``nbytes`` of content at ``offset`` (zeros if unwritten)."""
-        if offset < 0 or offset + nbytes > self.size:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
             raise ValueError(
                 f"read [{offset}, {offset + nbytes}) outside file "
                 f"{self.name!r} of size {self.size}")
+        if not self._blocks:
+            # No stored bytes (metadata-only files and their views): the
+            # whole range is zeros, built in one allocation.
+            return bytes(nbytes)
         parts: list[bytes] = []
         position = offset
         remaining = nbytes

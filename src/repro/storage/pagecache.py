@@ -267,13 +267,16 @@ class HostPageCache:
               sync: bool = True) -> Generator[Event, Any, None]:
         """Write content and charge device time (write-through when sync)."""
         file.write(offset, data)
-        pages = (len(data) + PAGE_SIZE - 1) // PAGE_SIZE
+        # Every block the byte range touches, including partial ones at
+        # either unaligned end.
+        first_block = offset // PAGE_SIZE
+        end_block = (offset + len(data) + PAGE_SIZE - 1) // PAGE_SIZE
+        pages = end_block - first_block if data else 0
         yield self.env.timeout(self.params.copy_us * pages)
         if sync:
             for lba, length in file.iter_device_ranges(offset, len(data)):
                 yield from file.device.write(
                     IoRequest(lba=lba, nbytes=length, kind=ReadKind.WRITE))
         # Freshly written pages are resident.
-        first_block = offset // PAGE_SIZE
         for index in range(first_block, first_block + pages):
             self._insert(self._key(file, index))

@@ -7,9 +7,12 @@ but for byte-exact guest memory reconstruction.
 
 import pytest
 
+import repro.core.files
+from repro.bench.harness import Testbed
 from repro.core import LatencyBreakdown, make_policy
 from repro.core.policies import POLICIES
-from repro.functions import FunctionBehavior, FunctionProfile
+from repro.functions import FunctionBehavior, FunctionProfile, get_profile
+from repro.memory.working_set import contiguous_runs
 from repro.memory import ContentMode
 from repro.orchestrator import Orchestrator
 from repro.sim import Environment
@@ -188,3 +191,41 @@ def test_timing_identical_between_content_modes():
         times[content] = reap.breakdown.total_us
     assert times[ContentMode.FULL] == pytest.approx(
         times[ContentMode.METADATA])
+
+
+@pytest.mark.parametrize("name", ["helloworld", "video_processing"])
+def test_content_mode_is_timing_neutral(name):
+    """Every phase of every restore is identical with and without stored
+    page bytes, including a function whose record diverges (unused
+    prefetches and extra demand faults on the REAP path)."""
+    runs = {}
+    for content in (ContentMode.METADATA, ContentMode.FULL):
+        bed = Testbed(seed=7, content=content)
+        bed.deploy(get_profile(name))
+        runs[content] = [
+            (result.mode, result.breakdown.to_dict())
+            for result in (bed.invoke(name, mode=mode)
+                           for mode in ("vanilla", "record", "reap", "reap"))]
+    assert [mode for mode, _ in runs[ContentMode.FULL]] == \
+        ["vanilla", "record", "reap", "reap"]
+    assert runs[ContentMode.METADATA] == runs[ContentMode.FULL]
+
+
+def test_reap_artifact_constants_computed_once(monkeypatch):
+    env, host, orch, profile = make_stack(content=ContentMode.METADATA)
+    invoke(env, orch, "tiny")  # record
+    artifacts = orch.reap.state_for("tiny").artifacts
+    calls = []
+
+    def counting_runs(pages):
+        calls.append(len(pages))
+        return contiguous_runs(pages)
+
+    monkeypatch.setattr(repro.core.files, "contiguous_runs", counting_runs)
+    for _ in range(2):
+        assert invoke(env, orch, "tiny").mode == "reap"
+    assert orch.reap.state_for("tiny").artifacts is artifacts
+    assert len(calls) == 1
+    working_set = artifacts.working_set
+    assert working_set.run_count == len(contiguous_runs(working_set.pages))
+    assert artifacts.page_set == frozenset(artifacts.trace.pages)

@@ -156,3 +156,71 @@ def test_content_matches_reference_bytearray(writes):
         file.write(offset, data)
         reference[offset:offset + len(data)] = data
     assert file.read(0, size) == bytes(reference)
+
+
+_READ_SIZE = 6 * PAGE_SIZE + 123  # ends inside a partial last block
+
+
+def _reference_read(file, offset, nbytes):
+    """``SimFile.read`` spelled out as a per-block join of stored bytes."""
+    first = offset // PAGE_SIZE
+    last = (offset + nbytes + PAGE_SIZE - 1) // PAGE_SIZE
+    flat = b"".join(file._blocks.get(index, bytes(PAGE_SIZE))
+                    for index in range(first, last))
+    start = offset - first * PAGE_SIZE
+    return flat[start:start + nbytes]
+
+
+def _file_of_kind(fs, kind, writes):
+    file = fs.create(kind, _READ_SIZE)
+    if kind == "holes":
+        # Metadata-only: blocks exist for the latency model, no bytes.
+        file.mark_written_blocks(range(0, file.block_count, 2))
+    elif kind == "full":
+        for index in range(file.block_count):
+            length = min(PAGE_SIZE, _READ_SIZE - index * PAGE_SIZE)
+            file.write(index * PAGE_SIZE, bytes([index + 1]) * length)
+    else:
+        # Partial: one write straddling the block 1/2 edge, then the
+        # drawn writes (which may straddle further edges).
+        file.write(2 * PAGE_SIZE - 10, b"\x5a" * 20)
+        for offset, data in writes:
+            data = data[:_READ_SIZE - offset]
+            if data:
+                file.write(offset, data)
+    if kind == "view":
+        view = file.clone_view("view-of-partial")
+        file.write(5 * PAGE_SIZE - 1, b"\xc3\x3c")  # shared after cloning
+        return view
+    return file
+
+
+@given(kind=st.sampled_from(["holes", "partial", "full", "view"]),
+       writes=st.lists(
+           st.tuples(st.integers(min_value=0, max_value=_READ_SIZE - 1),
+                     st.binary(min_size=1, max_size=2 * PAGE_SIZE)),
+           max_size=6),
+       data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_read_matches_per_block_reference(kind, writes, data):
+    """Property: every in-bounds read equals the per-block join, whether
+    the file stores no bytes, some, all, or is a view; bad ranges raise."""
+    _env, fs = make_fs()
+    file = _file_of_kind(fs, kind, writes)
+    for _ in range(4):
+        offset = data.draw(st.integers(min_value=0, max_value=_READ_SIZE))
+        nbytes = data.draw(
+            st.integers(min_value=0, max_value=_READ_SIZE - offset))
+        result = file.read(offset, nbytes)
+        assert len(result) == nbytes
+        assert result == _reference_read(file, offset, nbytes)
+    offset = data.draw(st.integers(min_value=0, max_value=_READ_SIZE))
+    with pytest.raises(ValueError):
+        file.read(offset, data.draw(st.integers(min_value=-PAGE_SIZE,
+                                                max_value=-1)))
+    with pytest.raises(ValueError):
+        file.read(offset, _READ_SIZE - offset + data.draw(
+            st.integers(min_value=1, max_value=PAGE_SIZE)))
+    with pytest.raises(ValueError):
+        file.read(-data.draw(st.integers(min_value=1, max_value=PAGE_SIZE)),
+                  1)

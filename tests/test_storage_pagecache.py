@@ -132,6 +132,25 @@ def test_write_through_populates_cache_and_content():
     assert cache.is_cached(file, 2)
 
 
+def test_unaligned_write_caches_and_charges_every_spanned_block():
+    env, _ssd, fs, cache = make_host()
+    file = fs.create("out", 1 * MIB)
+    # 200 bytes at offset 4000 end in block 1: two blocks, one page each.
+    elapsed, _ = run(env, cache.write(file, 4000, b"\x22" * 200,
+                                      sync=False))
+    assert cache.is_cached(file, 0)
+    assert cache.is_cached(file, 1)
+    assert not cache.is_cached(file, 2)
+    assert elapsed == pytest.approx(2 * cache.params.copy_us)
+    # An aligned write covers exactly its own blocks; an empty one none.
+    elapsed, _ = run(env, cache.write(file, 4 * PAGE_SIZE, b"\x33" * PAGE_SIZE,
+                                      sync=False))
+    assert elapsed == pytest.approx(cache.params.copy_us)
+    assert not cache.is_cached(file, 5)
+    elapsed, _ = run(env, cache.write(file, 4000, b"", sync=False))
+    assert elapsed == 0
+
+
 def test_write_invalidates_previously_cached_content():
     env, _ssd, fs, cache = make_host()
     file = fs.create("data", 1 * MIB)
