@@ -31,9 +31,12 @@ overhead minimal:
 * a waiting :class:`Process` registers *itself* as the callback (the
   dispatch loop detects it by type and resumes it directly), so the
   common wait path allocates no bound-method object;
-* :meth:`Environment.run` inlines the pop/dispatch loop, and
-  :meth:`Environment.timeout` builds the :class:`Timeout` in a single
-  frame (no ``type.__call__``/``__init__`` double dispatch);
+* :meth:`Environment.run` inlines one pop/dispatch loop for both
+  ``until`` modes (a time bound, or stopping right after a target
+  event), every zero-delay push goes through the one
+  :meth:`Environment._enqueue`, and :meth:`Environment.timeout` builds
+  the :class:`Timeout` in a single frame (no
+  ``type.__call__``/``__init__`` double dispatch);
 * a wait that is provably the engine's next item -- nothing immediate
   is pending, the heap top is due strictly later, the ``run`` bound is
   not passed, and no multi-waiter dispatch is in progress -- is served
@@ -167,11 +170,7 @@ class Event:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
-        env = self.env
-        if env._fastpath:
-            env._immediate.append(self)
-        else:
-            heappush(env._heap, (env._now, env._next_seq(), self))
+        self.env._enqueue(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -182,11 +181,7 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._triggered = True
         self._exception = exception
-        env = self.env
-        if env._fastpath:
-            env._immediate.append(self)
-        else:
-            heappush(env._heap, (env._now, env._next_seq(), self))
+        self.env._enqueue(self)
         return self
 
     def _add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -195,7 +190,7 @@ class Event:
             # entry so ordering stays inside the engine.  The callback
             # still receives *this* event (waiters check identity against
             # what they yielded).
-            self.env._schedule_call(callback, self)
+            self.env._enqueue((callback, self))
         elif self._cb is None:
             self._cb = callback
         elif self._cbs is None:
@@ -205,27 +200,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units in the future."""
+    """An event that fires ``delay`` time units in the future.
+
+    Built only by :meth:`Environment.timeout`.
+    """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        # Inlined Event.__init__ + queueing: timeouts are the hottest
-        # allocation in every model.
-        self.env = env
-        self._cb = None
-        self._cbs = None
-        self._value = value
-        self._exception = None
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        if delay == 0.0 and env._fastpath:
-            env._immediate.append(self)
-        else:
-            heappush(env._heap, (env._now + delay, env._next_seq(), self))
 
 
 class AllOf(Event):
@@ -320,7 +300,7 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         # Kick off the first step at the current time (no proxy Event:
         # a bare callback entry resumes us with a None value).
-        env._schedule_call(self, _BOOTSTRAP)
+        env._enqueue((self, _BOOTSTRAP))
 
     @property
     def is_alive(self) -> bool:
@@ -338,10 +318,7 @@ class Process(Event):
         wake._defused = True
         self._waiting_on = None
         wake._cb = self
-        if env._fastpath:
-            env._immediate.append(wake)
-        else:
-            heappush(env._heap, (env._now, env._next_seq(), wake))
+        env._enqueue(wake)
 
     def _resume(self, event: Event) -> None:
         if self._triggered:
@@ -380,7 +357,7 @@ class Process(Event):
         # Register ourselves (not a bound method) as the waiter; the
         # dispatch loops detect Process entries by type.
         if processed:
-            env._schedule_call(self, target)
+            env._enqueue((self, target))
         elif target._cb is None:
             target._cb = self
         elif target._cbs is None:
@@ -456,6 +433,8 @@ class Environment:
         Built in one frame (``object.__new__`` plus direct slot stores)
         instead of ``Timeout(...)``: timeouts are the hottest allocation
         in every model and the class-call double dispatch is measurable.
+        For the same reason the queueing is :meth:`_enqueue` inlined,
+        with the delay added.
         """
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
@@ -511,19 +490,13 @@ class Environment:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
 
-    def _queue_event(self, event: Event, delay: float = 0.0) -> None:
-        if delay == 0.0 and self._fastpath:
-            self._immediate.append(event)
-        else:
-            heappush(self._heap, (self._now + delay, self._next_seq(), event))
-
-    def _schedule_call(self, callback: Callable[[Any], None],
-                       event: Any) -> None:
+    def _enqueue(self, item: Any) -> None:
+        """Queue ``item`` -- an event or a ``(callback, event)`` pair --
+        to be dispatched at the current time."""
         if self._fastpath:
-            self._immediate.append((callback, event))
+            self._immediate.append(item)
         else:
-            heappush(self._heap,
-                     (self._now, self._next_seq(), (callback, event)))
+            heappush(self._heap, (self._now, self._next_seq(), item))
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the event loop.
@@ -533,11 +506,14 @@ class Environment:
         When ``until`` is a time, the clock always advances to it, even
         if the queue empties early.
         """
-        if _profiler.ACTIVE is not None:
-            # One flag check per run() call, not per event: the fast
-            # loops below stay untouched when profiling is off.
-            return self._run_profiled(until, _profiler.ACTIVE)
         global _events_processed_total
+        if isinstance(until, Event):
+            # Stop right after the target is dispatched; no time bound.
+            target: Optional[Event] = until
+            deadline = float("inf")
+        else:
+            target = None
+            deadline = float("inf") if until is None else float(until)
         heap = self._heap
         immediate = self._immediate
         count = 0
@@ -549,20 +525,28 @@ class Environment:
         if gc_was_enabled:
             gc.disable()
         try:
-            if isinstance(until, Event):
-                target = until
-                inline = float("inf") if self._fastpath else _NEVER
+            if target is not None and target._processed:
+                pass  # nothing to run: its outcome is returned below
+            elif _profiler.ACTIVE is not None:
+                # One flag check per run() call, not per event: the fast
+                # loop below stays untouched when profiling is off.
+                self._run_profiled(target, deadline, _profiler.ACTIVE)
+            else:
+                inline = deadline if self._fastpath else _NEVER
                 self._inline_until = inline
-                while not target._processed:
+                while True:
                     if heap and (not immediate or heap[0][0] <= self._now):
+                        when = heap[0][0]
+                        if when > deadline:
+                            break
                         when, _seq, item = heappop(heap)
                         self._now = when
                     elif immediate:
+                        if self._now > deadline:
+                            break
                         item = immediate.popleft()
                     else:
-                        raise SimulationError(
-                            "event queue exhausted before target event "
-                            "fired")
+                        break
                     count += 1
                     if type(item) is tuple:
                         callback, event = item
@@ -597,129 +581,59 @@ class Environment:
                             self._inline_until = inline
                     elif item._exception is not None and not item._defused:
                         raise item._exception
-                if target._exception is not None:
-                    raise target._exception
-                return target._value
-
-            deadline = float("inf") if until is None else float(until)
-            inline = deadline if self._fastpath else _NEVER
-            self._inline_until = inline
-            while True:
-                if heap and (not immediate or heap[0][0] <= self._now):
-                    when = heap[0][0]
-                    if when > deadline:
+                    if item is target:
                         break
-                    when, _seq, item = heappop(heap)
-                    self._now = when
-                elif immediate:
-                    if self._now > deadline:
-                        break
-                    item = immediate.popleft()
-                else:
-                    break
-                count += 1
-                if type(item) is tuple:
-                    callback, event = item
-                    if type(callback) is Process:
-                        callback._resume(event)
-                    else:
-                        callback(event)
-                    continue
-                item._processed = True
-                callback = item._cb
-                if callback is not None:
-                    item._cb = None
-                    # Every waiter of a multi-waiter event resumes at
-                    # this instant: none may advance the clock in place.
-                    more = item._cbs
-                    if more is not None:
-                        self._inline_until = _NEVER
-                    if type(callback) is Process:
-                        callback._resume(item)
-                    else:
-                        callback(item)
-                    if more is not None:
-                        item._cbs = None
-                        for callback in more:
-                            if type(callback) is Process:
-                                callback._resume(item)
-                            else:
-                                callback(item)
-                        self._inline_until = inline
-                elif item._exception is not None and not item._defused:
-                    raise item._exception
-            if until is not None:
-                self._now = max(self._now, deadline)
-            return None
         finally:
             self._inline_until = _NEVER
             if gc_was_enabled:
                 gc.enable()
             self.events_processed += count
             _events_processed_total += count
+        if target is not None:
+            if not target._processed:
+                raise SimulationError(
+                    "event queue exhausted before target event fired")
+            if target._exception is not None:
+                raise target._exception
+            return target._value
+        if until is not None:
+            self._now = max(self._now, deadline)
+        return None
 
-    def _run_profiled(self, until: Optional[float | Event],
-                      profiler: "_profiler.EngineProfiler") -> Any:
-        """:meth:`run` with per-item wall-time attribution.
+    def _run_profiled(self, target: Optional[Event], deadline: float,
+                      profiler: "_profiler.EngineProfiler") -> None:
+        """The :meth:`run` loop with per-item wall-time attribution.
 
-        Same pop order, same clock advancement, same error and
-        ``events_processed`` semantics as the inlined loops in
-        :meth:`run` -- only dispatch goes through
+        Same pop order, stopping rule and ``events_processed`` counting
+        as the inlined loop in :meth:`run` -- only dispatch goes through
         :meth:`_dispatch_profiled`, which brackets each item with host
-        clock reads and feeds the :mod:`repro.obs.profiler` table.
+        clock reads and feeds the :mod:`repro.obs.profiler` table.  It
+        never advances the clock in place, so every event reaches the
+        profiler.
         """
         global _events_processed_total
         heap = self._heap
         immediate = self._immediate
         clock = _profiler.perf_counter
         record = profiler.record
-        count = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            if isinstance(until, Event):
-                target = until
-                while not target._processed:
-                    if heap and (not immediate or heap[0][0] <= self._now):
-                        when, _seq, item = heappop(heap)
-                        self._now = when
-                    elif immediate:
-                        item = immediate.popleft()
-                    else:
-                        raise SimulationError(
-                            "event queue exhausted before target event "
-                            "fired")
-                    count += 1
-                    self._dispatch_profiled(item, record, clock)
-                if target._exception is not None:
-                    raise target._exception
-                return target._value
-
-            deadline = float("inf") if until is None else float(until)
-            while True:
-                if heap and (not immediate or heap[0][0] <= self._now):
-                    when = heap[0][0]
-                    if when > deadline:
-                        break
-                    when, _seq, item = heappop(heap)
-                    self._now = when
-                elif immediate:
-                    if self._now > deadline:
-                        break
-                    item = immediate.popleft()
-                else:
+        while True:
+            if heap and (not immediate or heap[0][0] <= self._now):
+                when = heap[0][0]
+                if when > deadline:
                     break
-                count += 1
-                self._dispatch_profiled(item, record, clock)
-            if until is not None:
-                self._now = max(self._now, deadline)
-            return None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self.events_processed += count
-            _events_processed_total += count
+                when, _seq, item = heappop(heap)
+                self._now = when
+            elif immediate:
+                if self._now > deadline:
+                    break
+                item = immediate.popleft()
+            else:
+                break
+            self.events_processed += 1
+            _events_processed_total += 1
+            self._dispatch_profiled(item, record, clock)
+            if item is target:
+                break
 
     def _dispatch_profiled(self, item: Any, record, clock) -> None:
         """Dispatch one queued item, attributing its wall time.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.sim import sanitizer
@@ -94,12 +93,7 @@ class Resource:
             users.add(request)
             request._triggered = True
             request._value = request
-            env = self.env
-            if env._fastpath:
-                env._immediate.append(request)
-            else:
-                heappush(env._heap, (env._now, env._sequence, request))
-                env._sequence += 1
+            self.env._enqueue(request)
         else:
             self._queue.append(request)
             self._grant()

@@ -90,6 +90,28 @@ def test_tiebreak_permutes_same_time_ties(monkeypatch):
     assert _same_time_wake_order(monkeypatch, 1) == perturbed
 
 
+def test_uncontended_grant_tie_order_follows_the_mixer(monkeypatch):
+    """An uncontended resource grant is shuffled like every other
+    same-instant item: its heap key is the mixer's value, not the raw
+    schedule number that would always sort it first."""
+    seed = 12345
+    monkeypatch.setenv("REPRO_SANITIZE_TIEBREAK", str(seed))
+    mix = sanitizer.sequence_mixer(seed)
+    env = Environment()
+    resource = Resource(env, capacity=4)
+    events = [env.event().succeed() for _ in range(4)]
+    grants = [resource.request() for _ in range(4)]
+    keys = [key for grant in grants
+            for _when, key, item in env._heap if item is grant]
+    assert keys == [mix(sequence) for sequence in range(4, 8)]
+    order = []
+    for tag, item in enumerate(events + grants):
+        item._add_callback(lambda _event, tag=tag: order.append(tag))
+    env.run()
+    assert order == sorted(range(8), key=mix)
+    assert order != list(range(8))
+
+
 # -- regression: interrupt while queued on a resource ------------------------
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import profiler as obs_profiler
 from repro.sim import (
     AllOf,
     AnyOf,
@@ -674,8 +675,6 @@ def test_run_until_event_stops_right_after_its_target():
 
 
 def test_profiled_run_counts_every_event_through_the_profiler():
-    from repro.obs import profiler as obs_profiler
-
     def ticker(env, log):
         for _ in range(5):
             yield from sleep(env, 10.0)
@@ -697,6 +696,42 @@ def test_profiled_run_counts_every_event_through_the_profiler():
     assert log == plain_log
     assert env.events_processed == plain.events_processed
     assert profiler.total_events == env.events_processed
+
+
+@pytest.mark.parametrize("mode", ["fast", "slow", "profiled"])
+def test_run_until_processed_event_returns_its_outcome_at_once(mode):
+    profiler = obs_profiler.install() if mode == "profiled" else None
+    try:
+        env = Environment(fastpath=mode != "slow")
+        done = env.event()
+        failed = env.event()
+        error = ValueError("boom")
+
+        def background():
+            yield env.timeout(50)
+
+        def catcher():
+            with pytest.raises(ValueError):
+                yield failed
+
+        env.process(background())
+        env.process(catcher())
+        env.run(until=done.succeed("value"))
+        with pytest.raises(ValueError):
+            env.run(until=failed.fail(error))
+        processed, now = env.events_processed, env.now
+        assert env.run(until=done) == "value"
+        with pytest.raises(ValueError) as raised:
+            env.run(until=failed)
+        assert raised.value is error
+        assert (env.events_processed, env.now) == (processed, now)
+        env.run()
+        assert env.now == 50
+    finally:
+        if profiler is not None:
+            obs_profiler.uninstall()
+    if profiler is not None:
+        assert profiler.total_events == env.events_processed
 
 
 def test_slowpath_never_advances_in_place():
@@ -794,4 +829,10 @@ _PAUSES = st.lists(st.tuples(st.sampled_from(["time", "signal"]),
 def test_inline_paths_match_slowpath_on_random_programs(programs, pauses):
     fast = _run_program(programs, pauses, fastpath=True)
     slow = _run_program(programs, pauses, fastpath=False)
-    assert fast == slow
+    profiler = obs_profiler.install()
+    try:
+        profiled = _run_program(programs, pauses, fastpath=True)
+    finally:
+        obs_profiler.uninstall()
+    assert fast == slow == profiled
+    assert profiler.total_events == profiled[2]
